@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ..graph import Graph
 from ..obs import CounterSink, Telemetry
@@ -91,17 +91,7 @@ class ClusterStats:
     rebuild_errors: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "num_shards": self.num_shards,
-            "backend": self.backend,
-            "graphs": dict(self.graphs),
-            "per_shard": list(self.per_shard),
-            "tenants": {k: dict(v) for k, v in self.tenants.items()},
-            "rebuild_mode": self.rebuild_mode,
-            "max_staleness_ms": self.max_staleness_ms,
-            "maintenance": self.maintenance,
-            "rebuild_errors": self.rebuild_errors,
-        }
+        return asdict(self)
 
 
 class ShardRouter:

@@ -55,8 +55,14 @@ hit/miss, rebuild, incremental extension, update, query, stale hit, and
 snapshot swap is emitted as an instant event, and build/extend/query work
 runs inside spans.  The public :attr:`ServiceEngine.stats` view
 (:class:`EngineStats`) is assembled on demand from the engine's
-:class:`~repro.obs.CounterSink`, plus measured rebuild wall seconds from
-a :class:`~repro.obs.WallClockSink` (``rebuild_wall_s``).
+:class:`~repro.obs.CounterSink`, plus the measured wall seconds of
+finished full rebuilds (``rebuild_wall_s``).
+
+Both modes keep the index current through one catch-up path:
+:meth:`ServiceEngine._catch_up` plans against the delta log, patches or
+rebuilds, and :meth:`ServiceEngine._publish` inserts the result into the
+LRU and installs its snapshot.  An inline call (a query) runs inside
+spans and charges the machine; the rebuild worker runs without them.
 """
 
 from __future__ import annotations
@@ -64,10 +70,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
 
 from ..graph import Graph
-from ..obs import CounterSink, Telemetry, WallClockSink
+from ..obs import CounterSink, Telemetry
 from ..smp import Machine, NullMachine, Ops
 from . import updates as upd
 from .deltalog import MAX_PENDING_DELTAS, DeltaEntry, DeltaLog, classify_add, classify_remove
@@ -167,31 +174,7 @@ class EngineStats:
         return self.cache_hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "updates": self.updates,
-            "noop_updates": self.noop_updates,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "rebuilds": self.rebuilds,
-            "incremental_extensions": self.incremental_extensions,
-            "evictions": self.evictions,
-            "stale_hits": self.stale_hits,
-            "forced_syncs": self.forced_syncs,
-            "rebuilds_queued": self.rebuilds_queued,
-            "rebuild_swaps": self.rebuild_swaps,
-            "rebuilds_rejected": self.rebuilds_rejected,
-            "rebuilds_incremental": self.rebuilds_incremental,
-            "rebuilds_full": self.rebuilds_full,
-            "delta_log_depth": self.delta_log_depth,
-            "rebuild_errors": self.rebuild_errors,
-            "last_rebuild_error": self.last_rebuild_error,
-            "rebuild_wall_s": self.rebuild_wall_s,
-            "rebuild_wall_by_strategy": dict(self.rebuild_wall_by_strategy),
-            "max_staleness_ms": self.max_staleness_ms,
-            "per_op": dict(self.per_op),
-        }
+        return {**asdict(self), "cache_hit_rate": self.cache_hit_rate}
 
 
 class ServiceEngine:
@@ -208,8 +191,6 @@ class ServiceEngine:
         coalesce_ms: float = 0.0,
         staleness_budget_ms: float | None = 250.0,
         max_pending_rebuilds: int | None = 8,
-        rebuild_backend: str | None = None,
-        rebuild_p: int | None = None,
         maintenance: str = "auto",
         clock=None,
     ):
@@ -242,17 +223,18 @@ class ServiceEngine:
         else:
             self.telemetry = Telemetry()
         self._counters = self.telemetry.add_sink(CounterSink())
-        self._wall = self.telemetry.add_sink(WallClockSink())
         self._cache: OrderedDict[str, BCCIndex] = OrderedDict()
         self._logs: dict[str, DeltaLog] = {}
         self._strategy_wall: dict[str, float] = {}
+        self._rebuild_wall_s = 0.0
         self.maintenance = maintenance
         self.rebuild_mode = rebuild_mode
         self.coalesce_ms = float(coalesce_ms)
         self.staleness_budget_ms = staleness_budget_ms
         self._clock = clock if clock is not None else time.monotonic
-        # snapshot installs/evictions are serialized against the rebuild
-        # worker; snapshot *reads* stay lock-free (GIL-atomic dict load)
+        # snapshot installs/evictions and wall accounting are serialized
+        # against the rebuild worker; snapshot *reads* stay lock-free
+        # (GIL-atomic dict load)
         self._swap_lock = threading.Lock()
         self._snapshots: dict[str, IndexSnapshot] = {}
         self._dirty_since: dict[str, float] = {}
@@ -271,8 +253,6 @@ class ServiceEngine:
                 coalesce_s=self.coalesce_ms / 1000.0,
                 max_pending=max_pending_rebuilds,
                 clock=self._clock,
-                backend=rebuild_backend,
-                p=rebuild_p,
             )
 
     # ------------------------------------------------------------------ #
@@ -320,18 +300,14 @@ class ServiceEngine:
         return self._index_async(name, entry)
 
     def _index_sync(self, name: str, entry) -> BCCIndex:
-        """The historical inline path: cache hit, delta replay, or rebuild."""
+        """The inline path: cache hit, or catch up on the query path."""
         idx = self._cache.get(entry.fingerprint)
         if idx is not None:
-            with self._swap_lock:
-                self._cache.move_to_end(entry.fingerprint)
             self.telemetry.event("cache.hit")
-            self._install(name, idx, entry)
-            return idx
-        self.telemetry.event("cache.miss")
-        idx = self._resolve(name, entry)
-        self._cache_put(idx)
-        self._install(name, idx, entry)
+        else:
+            self.telemetry.event("cache.miss")
+            idx = self._catch_up(name, entry, inline=True)
+        self._publish(name, idx, entry)
         return idx
 
     def _index_async(self, name: str, entry) -> BCCIndex:
@@ -344,7 +320,7 @@ class ServiceEngine:
         if cached is not None:
             # content seen before (revert / no-op churn): instant swap
             self.telemetry.event("cache.hit")
-            self._install(name, cached, entry)
+            self._publish(name, cached, entry)
             return cached
         if snap is None:
             # first query for this name: nothing to serve stale yet
@@ -368,32 +344,103 @@ class ServiceEngine:
             return 0.0
         return max(self._clock() - since, 0.0) * 1000.0
 
-    def _cache_put(self, idx: BCCIndex) -> None:
+    def _catch_up(self, name: str, entry, inline: bool) -> BCCIndex:
+        """Bring ``name``'s index up to ``entry``: plan against the delta
+        log, patch a copy of the base index, or rebuild from scratch.
+
+        Inline calls charge the machine inside ``Service-extend`` /
+        ``Service-build`` regions; the rebuild worker (``inline=False``)
+        runs without spans, which are not thread-safe.  A rebuild is
+        counted only once it has returned.
+        """
+        log = self._logs.get(name)
+        maintained = log is not None and len(log) > 0
+        plan = plan_maintenance(
+            self.maintenance,
+            log,
+            entry,
+            self._base_index,
+            algorithm=self.algorithm,
+        )
+        machine = self.machine if inline else None
+        region = self._region if inline else nullcontext
+        if plan.incremental:
+            t0 = time.perf_counter()
+            with region("Service-extend"):
+                idx = apply_plan(plan, machine=machine)
+            if idx is not None:
+                self._note_strategy(plan, plan.strategy, time.perf_counter() - t0)
+                self.telemetry.event("index.incremental", count=len(plan.entries))
+                return idx
+            # a patch path's consistency guard bailed: one full rebuild
+        t0 = time.perf_counter()
+        with region("Service-build"):
+            idx = BCCIndex.build(
+                entry.graph,
+                algorithm=self.algorithm,
+                machine=machine,
+                fingerprint=entry.fingerprint,
+            )
+        seconds = time.perf_counter() - t0
         with self._swap_lock:
+            self._rebuild_wall_s += seconds
+        self.telemetry.event("index.rebuild")
+        if maintained:
+            self._note_strategy(plan, "full", seconds)
+        return idx
+
+    def _publish(self, name: str, idx: BCCIndex, entry, job=None) -> None:
+        """Insert ``idx`` into the LRU and make it ``name``'s snapshot.
+
+        The snapshot is replaced only when it does not already answer
+        for ``entry``, so ``built_at`` stays the swap time.  A background
+        publish (``job`` given) is dropped when a newer snapshot raced
+        in, and emits ``rebuild.swap``; an inline one supersedes any
+        queued job.
+        """
+        now = self._clock()
+        log = self._logs.get(name)
+        with self._swap_lock:
+            prev = self._snapshots.get(name)
+            current = prev is not None and prev.fresh_for(entry)
+            if (job is not None and prev is not None and not current
+                    and prev.version >= entry.version):
+                return  # a newer snapshot raced in; ours is obsolete
             self._cache[idx.fingerprint] = idx
             self._cache.move_to_end(idx.fingerprint)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
                 self.telemetry.event("cache.evict")
-
-    def _install(self, name: str, idx: BCCIndex, entry) -> None:
-        """Atomically publish ``idx`` as ``name``'s current snapshot."""
-        log = self._logs.get(name)
-        with self._swap_lock:
             if log is not None:
                 log.catch_up(entry.fingerprint, entry.version)
-            self._snapshots[name] = IndexSnapshot(
-                index=idx,
-                fingerprint=entry.fingerprint,
-                version=entry.version,
-                built_at=self._clock(),
-                source=idx.source,
-                log_version=log.version if log is not None else 0,
-            )
-            self._dirty_since.pop(name, None)
-        if self._scheduler is not None:
-            # an inline resolve supersedes any queued background job
-            self._scheduler.cancel(name)
+            if not current or prev.version != entry.version:
+                self._snapshots[name] = IndexSnapshot(
+                    index=idx,
+                    fingerprint=entry.fingerprint,
+                    version=entry.version,
+                    built_at=now,
+                    source=idx.source,
+                    log_version=log.version if log is not None else 0,
+                )
+            stale_s = now - self._dirty_since.get(name, now)
+            if self.store.entry(name).fingerprint == entry.fingerprint:
+                # reached the newest content: clean slate
+                self._dirty_since.pop(name, None)
+            # else: mid-build churn — dirty_since stays (and the log keeps
+            # the undrained suffix); the scheduler's re-run mark converges
+            # on the newest content
+        if job is None:
+            if self._scheduler is not None:
+                self._scheduler.cancel(name)
+            return
+        swap_ms = max(now - job.queued_at, 0.0) * 1000.0
+        stale_ms = max(stale_s, 0.0) * 1000.0
+        self._max_staleness_ms = max(self._max_staleness_ms, stale_ms)
+        self.telemetry.event(
+            "rebuild.swap",
+            swap_latency_ms=round(swap_ms, 3),
+            staleness_ms=round(stale_ms, 3),
+        )
 
     def _mark_stale(self, name: str) -> None:
         """After an update: track staleness age and schedule revalidation."""
@@ -416,101 +463,21 @@ class ServiceEngine:
             self._scheduler.schedule(name)
 
     def _background_rebuild(self, name: str, job) -> None:
-        """Scheduler runner: catch the index up to the latest content and
-        swap atomically.
-
-        Runs on the scheduler's worker thread.  Asks the maintenance
-        registry how to catch up: a qualifying delta chain is patched
-        incrementally against a copy of the last-good snapshot's index,
-        anything else takes one full rebuild.  Uses only thread-safe
-        telemetry (instant events + a private wall sink); never touches
-        the machine/span stack.
+        """Scheduler runner: catch ``name`` up off the query path and
+        swap the result in atomically (on the scheduler's worker thread).
         """
         try:
             entry = self.store.entry(name)
         except KeyError:
             return  # graph removed while queued
         snap = self._snapshots.get(name)
-        if snap is not None and snap.fingerprint == entry.fingerprint:
+        if snap is not None and snap.fresh_for(entry):
             return  # revalidated meanwhile (revert or inline resolve)
         idx = self._cache.get(entry.fingerprint)
         if idx is None:
-            log = self._logs.get(name)
-            maintained = log is not None and len(log) > 0
-            plan = plan_maintenance(
-                self.maintenance,
-                log,
-                entry,
-                self._base_index,
-                algorithm=self.algorithm,
-                p=self._scheduler_p(),
-            )
-            tel = Telemetry()
-            wall = tel.add_sink(WallClockSink())
-            if plan.incremental:
-                with tel.span("Service-extend"):
-                    idx = apply_plan(plan)
-                if idx is not None:
-                    self._note_strategy(
-                        plan, plan.strategy,
-                        wall.seconds.get("Service-extend", 0.0),
-                    )
-                    self.telemetry.event(
-                        "index.incremental", count=len(plan.entries)
-                    )
-            if idx is None:
-                with tel.span("Service-build"):
-                    idx = BCCIndex.build(
-                        entry.graph,
-                        algorithm=self.algorithm,
-                        fingerprint=entry.fingerprint,
-                        team=self._scheduler.team,
-                    )
-                self._scheduler.add_wall(wall.seconds.get("Service-build", 0.0))
-                self.telemetry.event("index.rebuild")
-                if maintained:
-                    self._note_strategy(
-                        plan, "full", wall.seconds.get("Service-build", 0.0)
-                    )
-        if job.cancelled:
-            return
-        now = self._clock()
-        with self._swap_lock:
-            prev = self._snapshots.get(name)
-            if prev is not None and prev.version >= entry.version and not prev.fresh_for(entry):
-                return  # a newer snapshot raced in; ours is obsolete
-            self._cache[idx.fingerprint] = idx
-            self._cache.move_to_end(idx.fingerprint)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.telemetry.event("cache.evict")
-            stale_s = now - self._dirty_since.get(name, now)
-            log = self._logs.get(name)
-            if log is not None:
-                log.catch_up(entry.fingerprint, entry.version)
-            self._snapshots[name] = IndexSnapshot(
-                index=idx,
-                fingerprint=entry.fingerprint,
-                version=entry.version,
-                built_at=now,
-                source=idx.source,
-                log_version=log.version if log is not None else 0,
-            )
-            current = self.store.entry(name)
-            if current.fingerprint == entry.fingerprint:
-                # swap reached the newest content: clean slate
-                self._dirty_since.pop(name, None)
-            # else: mid-build churn — dirty_since stays (and the log keeps
-            # the undrained suffix); the scheduler's re-run mark converges
-            # on the newest content
-        swap_ms = max(now - job.queued_at, 0.0) * 1000.0
-        stale_ms = max(stale_s, 0.0) * 1000.0
-        self._max_staleness_ms = max(self._max_staleness_ms, stale_ms)
-        self.telemetry.event(
-            "rebuild.swap",
-            swap_latency_ms=round(swap_ms, 3),
-            staleness_ms=round(stale_ms, 3),
-        )
+            idx = self._catch_up(name, entry, inline=False)
+        if not job.cancelled:
+            self._publish(name, idx, entry, job=job)
 
     def _base_index(self, fingerprint: str) -> BCCIndex | None:
         """A materialized index for ``fingerprint``, if any is on hand."""
@@ -521,11 +488,6 @@ class ServiceEngine:
             if snap.fingerprint == fingerprint:
                 return snap.index
         return None
-
-    def _scheduler_p(self) -> int:
-        if self._scheduler is not None and self._scheduler.team is not None:
-            return self._scheduler.team.p
-        return 1
 
     def _note_strategy(self, plan, strategy: str, seconds: float) -> None:
         """Account one maintenance decision: strategy event + wall bucket."""
@@ -539,39 +501,6 @@ class ServiceEngine:
             patch_edges=plan.patch_edges,
             deltas=len(plan.entries),
         )
-
-    def _resolve(self, name: str, entry) -> BCCIndex:
-        """Inline catch-up: plan against the delta log, patch or rebuild."""
-        log = self._logs.get(name)
-        maintained = log is not None and len(log) > 0
-        plan = plan_maintenance(
-            self.maintenance,
-            log,
-            entry,
-            self._base_index,
-            algorithm=self.algorithm,
-        )
-        if plan.incremental:
-            t0 = time.perf_counter()
-            with self._region("Service-extend"):
-                idx = apply_plan(plan, machine=self.machine)
-            if idx is not None:
-                self._note_strategy(plan, plan.strategy, time.perf_counter() - t0)
-                self.telemetry.event("index.incremental", count=len(plan.entries))
-                return idx
-            # a patch path's consistency guard bailed: one full rebuild
-        self.telemetry.event("index.rebuild")
-        t0 = time.perf_counter()
-        with self._region("Service-build"):
-            idx = BCCIndex.build(
-                entry.graph,
-                algorithm=self.algorithm,
-                machine=self.machine,
-                fingerprint=entry.fingerprint,
-            )
-        if maintained:
-            self._note_strategy(plan, "full", time.perf_counter() - t0)
-        return idx
 
     # ------------------------------------------------------------------ #
     # updates (lazy: log the delta, catch up on next resolution)
@@ -727,17 +656,6 @@ class ServiceEngine:
         return self._staleness_ms(name)
 
     @property
-    def rebuild_wall_s(self) -> float:
-        """Measured wall seconds spent in full rebuilds, sync + async."""
-        total = sum(
-            s for path, s in self._wall.seconds.items()
-            if path.rsplit(".", 1)[-1] == "Service-build"
-        )
-        if self._scheduler is not None:
-            total += self._scheduler.rebuild_wall_s
-        return total
-
-    @property
     def stats(self) -> EngineStats:
         """Lifetime counters, assembled from the engine's counter sink."""
         c = self._counters
@@ -766,7 +684,7 @@ class ServiceEngine:
             last_rebuild_error=(
                 self._scheduler.last_error if self._scheduler is not None else ""
             ),
-            rebuild_wall_s=self.rebuild_wall_s,
+            rebuild_wall_s=self._rebuild_wall_s,
             rebuild_wall_by_strategy=dict(self._strategy_wall),
             max_staleness_ms=self._max_staleness_ms,
             per_op=c.prefixed("query"),
@@ -774,10 +692,10 @@ class ServiceEngine:
 
     def reset_stats(self) -> None:
         self._counters.reset()
-        self._wall.reset()
         self._max_staleness_ms = 0.0
         with self._swap_lock:
             self._strategy_wall = {}
+            self._rebuild_wall_s = 0.0
         if self._scheduler is not None:
             self._scheduler.reset_stats()
 

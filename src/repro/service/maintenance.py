@@ -185,7 +185,6 @@ def plan_maintenance(
     base_lookup,
     *,
     algorithm: str = "tv-filter",
-    p: int = 1,
 ) -> MaintenancePlan:
     """Decide how the index for stored ``entry`` should catch up.
 
@@ -199,7 +198,7 @@ def plan_maintenance(
             f"unknown maintenance mode {mode!r}; choose from {MAINTENANCE_MODES}"
         )
     g = entry.graph
-    full_s = predict_full_cost_s(algorithm, g.n, g.m, p)
+    full_s = predict_full_cost_s(algorithm, g.n, g.m)
     patch_edges = log.patch_edges() if log is not None else 0
 
     def full(reason: str, inc_s: float | None = None) -> MaintenancePlan:

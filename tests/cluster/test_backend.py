@@ -6,15 +6,16 @@ because an abandoned segment outlives the interpreter.
 """
 
 import multiprocessing as mp
+import typing
 
 import numpy as np
 import pytest
 
 from repro.cluster import ShardRouter, make_backend
-from repro.cluster.backend import InProcessBackend, ProcessBackend
+from repro.cluster.backend import STAT_FIELDS, InProcessBackend, ProcessBackend
 from repro.cluster.frames import split_records, strip_routing
 from repro.graph import generators as gen
-from repro.service.engine import ServiceEngine
+from repro.service.engine import EngineStats, ServiceEngine
 
 needs_fork = pytest.mark.skipif(
     "fork" not in mp.get_all_start_methods(), reason="requires fork"
@@ -84,6 +85,14 @@ class TestInProcessBackend:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown cluster backend"):
             make_backend("gpu", 2)
+
+
+def test_stat_fields_are_numeric_engine_counters():
+    # a renamed EngineStats counter must not drop out of the processes
+    # backend's int64 stat buffer unnoticed
+    types = typing.get_type_hints(EngineStats)
+    for name in STAT_FIELDS:
+        assert types.get(name) in (int, float), name
 
 
 @needs_fork

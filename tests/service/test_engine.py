@@ -6,7 +6,10 @@ from repro.core.tarjan import tarjan_bcc
 from repro.graph import generators as gen
 from repro.service.driver import oracle_answer
 from repro.service.engine import MAX_PENDING_DELTAS, ServiceEngine
+from repro.service.index import BCCIndex
 from repro.smp import e4500
+
+from .test_scheduler import FakeClock
 
 
 def fresh_engine(**kw) -> ServiceEngine:
@@ -205,6 +208,35 @@ class TestApplyAndStats:
 
     def test_hit_rate_empty(self):
         assert ServiceEngine().stats.cache_hit_rate == 0.0
+
+
+class TestCatchUp:
+    def test_failed_build_is_not_counted(self, monkeypatch):
+        eng = fresh_engine()
+        build = BCCIndex.build
+
+        def broken_build(*args, **kwargs):
+            raise RuntimeError("injected build failure")
+
+        monkeypatch.setattr(BCCIndex, "build", broken_build)
+        with pytest.raises(RuntimeError, match="injected"):
+            eng.query("g", "num_components")
+        st = eng.stats
+        assert st.rebuilds == 0 and st.rebuild_wall_s == 0.0
+        monkeypatch.setattr(BCCIndex, "build", build)
+        assert eng.query("g", "num_components") == 1
+        assert eng.stats.rebuilds == 1
+
+    def test_cache_hit_keeps_snapshot(self):
+        clk = FakeClock()
+        eng = fresh_engine(clock=clk)
+        eng.query("g", "num_components")
+        snap = eng.snapshot_for("g")
+        clk.advance(5.0)
+        eng.query("g", "is_articulation", v=0)
+        assert eng.stats.cache_hits == 1
+        assert eng.snapshot_for("g") is snap
+        assert snap.built_at == 100.0
 
 
 class TestSimulatedMachine:
