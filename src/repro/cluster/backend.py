@@ -132,7 +132,7 @@ class InProcessBackend(ShardBackend):
         self.engines[shard].put_graph(name, graph)
 
     def remove_graph(self, shard: int, name: str) -> None:
-        self.engines[shard].store.remove(name)
+        self.engines[shard].remove_graph(name)
 
     def execute(self, frames: dict, total_slots: int) -> dict:
         answers: dict[int, object] = {}
@@ -201,7 +201,7 @@ def _w_put_graph(rank, lo, hi, shard, name, n, u, v):
 
 def _w_remove_graph(rank, lo, hi, shard, name):
     if lo <= shard < hi:
-        _W_ENGINES[shard].store.remove(name)
+        _W_ENGINES[shard].remove_graph(name)
 
 
 def _w_execute(rank, lo, hi, jobs, out):

@@ -47,7 +47,10 @@ class BCCResult:
         Every backend yields bit-identical ``edge_labels``.
     """
 
-    __slots__ = ("graph", "edge_labels", "algorithm", "report", "backend", "_cut_cache")
+    __slots__ = (
+        "graph", "edge_labels", "algorithm", "report", "backend",
+        "_num_components", "_cut_cache",
+    )
 
     def __init__(
         self,
@@ -61,6 +64,10 @@ class BCCResult:
             raise ValueError("edge_labels must have one entry per edge")
         self.graph = graph
         self.edge_labels = canonical_edge_labels(edge_labels)
+        # canonical labels run 0..k-1, so the count is the largest plus one
+        self._num_components = (
+            int(self.edge_labels.max()) + 1 if graph.m else 0
+        )
         self.algorithm = algorithm
         self.report = report
         self.backend = backend
@@ -69,9 +76,7 @@ class BCCResult:
     @property
     def num_components(self) -> int:
         """Number of biconnected components (blocks)."""
-        if self.graph.m == 0:
-            return 0
-        return int(self.edge_labels.max()) + 1
+        return self._num_components
 
     def components(self) -> list[np.ndarray]:
         """Edge-index arrays, one per component, ordered by component id."""

@@ -14,6 +14,7 @@ parallel ``int64`` arrays ``u`` and ``v`` (canonicalized ``u < v``).
 
 from __future__ import annotations
 
+import weakref
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,7 +40,7 @@ class Graph:
         normalization is skipped.
     """
 
-    __slots__ = ("n", "u", "v", "_csr_cache")
+    __slots__ = ("n", "u", "v", "_csr_cache", "_keys_cache")
 
     def __init__(
         self,
@@ -78,6 +79,7 @@ class Graph:
         self.u.setflags(write=False)
         self.v.setflags(write=False)
         self._csr_cache = None
+        self._keys_cache = None
 
     # ------------------------------------------------------------------ #
     # basic properties
@@ -102,11 +104,28 @@ class Graph:
         """The ``(m, 2)`` array of canonical edges (read-only view data)."""
         return np.stack([self.u, self.v], axis=1)
 
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """Ascending ``u * n + v`` key of every canonical edge (cached).
+
+        Canonical edges are sorted lexicographically, so the keys are
+        sorted too and one ``searchsorted`` finds any edge.  The array is
+        read-only: the write path and the query index share it.  The
+        graph holds it weakly, so it lives as long as an index (or any
+        caller) does: a graph that outlives its index drops its m keys.
+        """
+        keys = self._keys_cache() if self._keys_cache is not None else None
+        if keys is None:
+            keys = self.u * np.int64(max(self.n, 1)) + self.v
+            keys.setflags(write=False)
+            self._keys_cache = weakref.ref(keys)
+        return keys
+
     def has_edge(self, a: int, b: int) -> bool:
         """Membership test for a single edge (O(log m) via binary search)."""
         lo, hi = (a, b) if a < b else (b, a)
-        key = self.u * np.int64(self.n) + self.v
-        probe = np.int64(lo) * np.int64(self.n) + np.int64(hi)
+        key = self.edge_keys
+        probe = np.int64(lo) * np.int64(max(self.n, 1)) + np.int64(hi)
         i = int(np.searchsorted(key, probe))
         return i < key.size and key[i] == probe
 
@@ -216,6 +235,18 @@ class Graph:
     # ------------------------------------------------------------------ #
     # dunder
     # ------------------------------------------------------------------ #
+
+    def __getstate__(self):
+        # the caches are derived (and the key cache is a weak reference,
+        # which cannot be pickled): ship the edge list only
+        return self.n, self.u, self.v
+
+    def __setstate__(self, state) -> None:
+        self.n, self.u, self.v = state
+        self.u.setflags(write=False)
+        self.v.setflags(write=False)
+        self._csr_cache = None
+        self._keys_cache = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -270,6 +270,25 @@ class ServiceEngine:
             return entry
         return self.store.put(name, graph)
 
+    def remove_graph(self, name: str) -> None:
+        """Drop ``name`` and everything the engine keeps for it.
+
+        The store entry, the delta log, the installed snapshot and the
+        staleness mark go, and a queued or running background rebuild is
+        cancelled, so a graph later put under the same name starts clean
+        (its store versions restart at 1).  Cached indexes stay in the
+        LRU: it is keyed by content, not by name.
+        """
+        if self._scheduler is not None:
+            self._scheduler.cancel(name)
+        with self._swap_lock:
+            # under the lock, so a worker's publish lands wholly before
+            # the removal or sees its job cancelled
+            self.store.remove(name)
+            self._logs.pop(name, None)
+            self._snapshots.pop(name, None)
+            self._dirty_since.pop(name, None)
+
     def graph(self, name: str) -> Graph:
         return self.store.get(name)
 
@@ -301,6 +320,19 @@ class ServiceEngine:
 
     def _index_sync(self, name: str, entry) -> BCCIndex:
         """The inline path: cache hit, or catch up on the query path."""
+        snap = self._snapshots.get(name)
+        if (snap is not None and snap.version == entry.version
+                and snap.fingerprint == entry.fingerprint):
+            # the installed snapshot answers for exactly this entry (both
+            # fields: a removed and re-put name restarts versions at 1),
+            # so _publish would change nothing but the LRU order
+            try:
+                self._cache.move_to_end(snap.fingerprint)
+            except KeyError:
+                pass  # evicted from the LRU: re-insert through _publish
+            else:
+                self.telemetry.event("cache.hit")
+                return snap.index
         idx = self._cache.get(entry.fingerprint)
         if idx is not None:
             self.telemetry.event("cache.hit")
@@ -394,13 +426,15 @@ class ServiceEngine:
 
         The snapshot is replaced only when it does not already answer
         for ``entry``, so ``built_at`` stays the swap time.  A background
-        publish (``job`` given) is dropped when a newer snapshot raced
-        in, and emits ``rebuild.swap``; an inline one supersedes any
-        queued job.
+        publish (``job`` given) is dropped when its job was cancelled or
+        a newer snapshot raced in, and emits ``rebuild.swap``; an inline
+        one supersedes any queued job.
         """
         now = self._clock()
         log = self._logs.get(name)
         with self._swap_lock:
+            if job is not None and job.cancelled:
+                return  # superseded inline, or the graph was removed
             prev = self._snapshots.get(name)
             current = prev is not None and prev.fresh_for(entry)
             if (job is not None and prev is not None and not current
@@ -476,8 +510,7 @@ class ServiceEngine:
         idx = self._cache.get(entry.fingerprint)
         if idx is None:
             idx = self._catch_up(name, entry, inline=False)
-        if not job.cancelled:
-            self._publish(name, idx, entry, job=job)
+        self._publish(name, idx, entry, job=job)
 
     def _base_index(self, fingerprint: str) -> BCCIndex | None:
         """A materialized index for ``fingerprint``, if any is on hand."""
@@ -585,7 +618,7 @@ class ServiceEngine:
         with self._region("Service-query"):
             if self.machine is not None:
                 self.machine.sequential(1, QUERY_OPS[op])
-        answer = getattr(idx, op)(**params)
+            answer = getattr(idx, op)(**params)
         self.telemetry.event("query", op=op)
         return answer
 

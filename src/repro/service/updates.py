@@ -68,10 +68,6 @@ def normalize_pairs(n: int, pairs) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _edge_keys(g: Graph) -> np.ndarray:
-    return g.u * np.int64(max(g.n, 1)) + g.v
-
-
 def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
     """Add a batch of edges; returns ``(new_graph, added_u, added_v)``.
 
@@ -81,7 +77,7 @@ def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
     """
     lo, hi = normalize_pairs(g.n, pairs)
     if lo.size and g.m:
-        keys = _edge_keys(g)
+        keys = g.edge_keys
         probe = lo * np.int64(g.n) + hi
         pos = np.minimum(np.searchsorted(keys, probe), g.m - 1)
         new = keys[pos] != probe
@@ -106,7 +102,7 @@ def apply_remove_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray]:
     lo, hi = normalize_pairs(g.n, pairs)
     if lo.size == 0 or g.m == 0:
         return g, np.zeros(0, np.int64)
-    keys = _edge_keys(g)
+    keys = g.edge_keys
     probe = lo * np.int64(g.n) + hi
     pos = np.minimum(np.searchsorted(keys, probe), g.m - 1)
     present = keys[pos] == probe
@@ -144,7 +140,7 @@ def extend_index(
             return None
         added_labels[i] = common[0]
     n = np.int64(max(g.n, 1))
-    new_keys = new_graph.u * n + new_graph.v
+    new_keys = new_graph.edge_keys
     if g.m:
         old_keys = index._edge_keys
         pos = np.minimum(np.searchsorted(old_keys, new_keys), g.m - 1)

@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import ShardRouter, make_backend
 from repro.cluster.backend import STAT_FIELDS, InProcessBackend, ProcessBackend
 from repro.cluster.frames import split_records, strip_routing
-from repro.graph import generators as gen
+from repro.graph import Graph, generators as gen
 from repro.service.engine import EngineStats, ServiceEngine
 
 needs_fork = pytest.mark.skipif(
@@ -85,6 +85,20 @@ class TestInProcessBackend:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown cluster backend"):
             make_backend("gpu", 2)
+
+    def test_reput_after_remove_serves_new_graph(self):
+        # removal goes through the engine, so an async shard drops the
+        # removed graph's snapshot instead of serving it under the name
+        chorded = gen.cycle_graph(8).union_edges(Graph(8, [0], [4]))
+        query = [{"op": "num_components", "graph": "g0"}]
+        with make_backend("serial", 1, rebuild_mode="async") as backend:
+            backend.put_graph(0, "g0", chorded)
+            assert backend.execute(*split_records(query, 1))[0] == 1
+            backend.remove_graph(0, "g0")
+            backend.put_graph(0, "g0", gen.path_graph(8))
+            assert backend.execute(*split_records(query, 1))[0] == 7
+            assert backend.engines[0].drain(timeout=10)
+            assert backend.execute(*split_records(query, 1))[0] == 7
 
 
 def test_stat_fields_are_numeric_engine_counters():

@@ -1,5 +1,8 @@
 """Unit tests for the edge-list Graph representation."""
 
+import gc
+import pickle
+
 import numpy as np
 import pytest
 
@@ -70,6 +73,32 @@ class TestProperties:
         assert g.has_edge(3, 1)
         assert not g.has_edge(0, 3)
         assert not g.has_edge(2, 3)
+
+    def test_edge_keys_sorted_read_only(self):
+        g = Graph(5, [3, 0, 1], [4, 2, 4])
+        assert g.edge_keys.tolist() == [0 * 5 + 2, 1 * 5 + 4, 3 * 5 + 4]
+        with pytest.raises(ValueError):
+            g.edge_keys[0] = 7
+
+    def test_edge_keys_shared_while_an_index_lives(self):
+        from repro.service.index import BCCIndex
+
+        g = Graph(4, [0, 1, 2], [1, 2, 3])
+        idx = BCCIndex.build(g)
+        assert g.edge_keys is idx._edge_keys
+        del idx
+        gc.collect()
+        # held weakly: a graph that outlives its index drops the keys
+        assert g._keys_cache() is None
+
+    def test_pickle_round_trip_drops_caches(self):
+        g = Graph(5, [3, 0, 1], [4, 2, 4])
+        g.edge_keys  # fill both caches
+        g.csr()
+        h = pickle.loads(pickle.dumps(g))
+        assert h == g and h.edge_keys.tolist() == g.edge_keys.tolist()
+        assert not h.u.flags.writeable and not h.v.flags.writeable
+        assert h.csr().indptr.tolist() == g.csr().indptr.tolist()
 
     def test_arcs_both_directions(self):
         g = Graph(3, [0, 1], [1, 2])

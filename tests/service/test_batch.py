@@ -3,10 +3,11 @@
 The tentpole contract of the batch refactor is *bit-identical semantics*:
 every vectorized bulk kernel must answer exactly what the element-wise
 point queries answer, on every graph family, including non-edges, self
-loops, and repeated items.  Since the scalar methods are now size-1
-wrappers over the kernels, the property is checked two ways — batch-of-k
-against k batches-of-1 (wrapper consistency) and against an independent
-``tarjan_bcc``/``blocks_of_vertex`` reference (kernel correctness).
+loops, and repeated items.  The scalar methods are their own kernels over
+the same arrays, so the property is checked two ways — batch-of-k
+against k scalar calls (batch/scalar consistency) and against an
+independent ``tarjan_bcc``/``blocks_of_vertex`` reference (kernel
+correctness), for the batch and the scalar ``same_bcc`` alike.
 Engine-level tests pin the batching contract: one index resolve, one
 delta replay, one ``Service-query`` region, per-item counter stats.
 """
@@ -102,6 +103,25 @@ def test_property_batch_matches_scalar(g, seed, k):
     check_same_bcc_against_reference(g, idx, pairs)
 
 
+def test_corpus_scalar_same_bcc_matches_reference():
+    """Scalar ``same_bcc`` over every vertex pair of the corpus, ``u == v``
+    included, against Tarjan's ``blocks_of_vertex`` intersection."""
+    isolated = multi_block = 0
+    for _, g in graph_corpus():
+        if g.n == 0:
+            continue
+        idx = BCCIndex.build(g)
+        res = tarjan_bcc(g)
+        blocks = [set(res.blocks_of_vertex(v).tolist()) for v in range(g.n)]
+        isolated += sum(not b for b in blocks)
+        multi_block += sum(len(b) >= 3 for b in blocks)
+        for u in range(g.n):
+            for v in range(g.n):
+                assert idx.same_bcc(u, v) == bool(blocks[u] & blocks[v]), (g, u, v)
+    # the corpus must exercise the slow branches of the scalar kernel
+    assert isolated > 0 and multi_block > 0
+
+
 class TestKernelEdges:
     def setup_method(self):
         self.g = gen.cliques_on_a_path(3, 4)[0]
@@ -136,6 +156,24 @@ class TestKernelEdges:
             self.idx.is_articulation_many([0, -1])
         with pytest.raises(IndexError, match="out of range"):
             self.idx.component_of_edge_many([[n, 0]])
+
+    @pytest.mark.parametrize("bad", ["low", "high"])
+    @pytest.mark.parametrize(
+        "op", ["same_bcc", "is_bridge", "component_of_edge", "edge_id"]
+    )
+    def test_scalar_pair_out_of_range_rejected(self, op, bad):
+        v = -1 if bad == "low" else self.g.n
+        with pytest.raises(IndexError, match="out of range"):
+            getattr(self.idx, op)(0, v)
+        with pytest.raises(IndexError, match="out of range"):
+            getattr(self.idx, op)(v, 0)
+
+    @pytest.mark.parametrize("op", ["is_articulation", "blocks_of"])
+    def test_scalar_vertex_out_of_range_rejected(self, op):
+        # -1 must raise, not wrap around to vertex n - 1
+        for v in (-1, self.g.n):
+            with pytest.raises(IndexError, match="out of range"):
+                getattr(self.idx, op)(v)
 
     def test_nonedges_sentinel(self):
         # vertices in different cliques: definitely not an edge

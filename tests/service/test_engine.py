@@ -1,9 +1,11 @@
 """Tests for the ServiceEngine: caching, lazy updates, stats, simulation."""
 
+import sys
+
 import pytest
 
 from repro.core.tarjan import tarjan_bcc
-from repro.graph import generators as gen
+from repro.graph import Graph, generators as gen
 from repro.service.driver import oracle_answer
 from repro.service.engine import MAX_PENDING_DELTAS, ServiceEngine
 from repro.service.index import BCCIndex
@@ -46,6 +48,19 @@ class TestQueries:
     def test_bad_cache_size(self):
         with pytest.raises(ValueError, match="cache_size"):
             ServiceEngine(cache_size=0)
+
+    def test_point_query_runs_inside_its_span(self, monkeypatch):
+        eng = fresh_engine()
+        eng.query("g", "num_components")  # index build outside the probe
+        paths = []
+
+        def recording(idx, v):
+            paths.append(eng.telemetry.path)
+            return False
+
+        monkeypatch.setattr(BCCIndex, "is_articulation", recording)
+        eng.query("g", "is_articulation", v=0)
+        assert paths == ["Service-query"]
 
 
 class TestCache:
@@ -237,6 +252,118 @@ class TestCatchUp:
         assert eng.stats.cache_hits == 1
         assert eng.snapshot_for("g") is snap
         assert snap.built_at == 100.0
+
+
+class TestSyncCacheHit:
+    def test_hit_skips_publish(self, monkeypatch):
+        eng = fresh_engine()
+        eng.query("g", "num_components")
+        calls = []
+        publish = eng._publish
+        monkeypatch.setattr(eng, "_publish", lambda *a, **k: calls.append(a) or publish(*a, **k))
+        for v in range(4):
+            eng.query("g", "is_articulation", v=v)
+        assert calls == []
+        assert eng.stats.cache_hits == 4 and eng.stats.cache_misses == 1
+
+    def test_hit_keeps_lru_order(self):
+        eng = ServiceEngine(cache_size=2)
+        for name, k in (("a", 5), ("b", 6), ("c", 7)):
+            eng.put_graph(name, gen.cycle_graph(k))
+        eng.query("a", "num_components")
+        eng.query("b", "num_components")
+        eng.query("a", "num_components")  # a becomes most recent
+        eng.query("c", "num_components")  # evicts b, not a
+        misses = eng.stats.cache_misses
+        eng.query("a", "num_components")
+        assert eng.stats.cache_misses == misses
+        eng.query("b", "num_components")
+        assert eng.stats.cache_misses == misses + 1
+
+    def test_evicted_snapshot_goes_through_publish(self):
+        eng = ServiceEngine(cache_size=1)
+        eng.put_graph("a", gen.cycle_graph(5))
+        eng.put_graph("b", gen.path_graph(5))
+        eng.query("a", "num_components")
+        eng.query("b", "num_components")  # evicts a's index; a's snapshot stays
+        assert eng.query("a", "num_components") == 1
+        assert eng.stats.cache_misses == 3
+
+    def test_hit_checks_fingerprint_not_only_version(self):
+        # a store-level remove + put restarts versions at 1: the old
+        # snapshot's version matches, its fingerprint does not
+        eng = fresh_engine()
+        assert eng.query("g", "num_components") == 1
+        eng.store.remove("g")
+        eng.store.put("g", gen.path_graph(8))
+        assert eng.store.entry("g").version == eng.snapshot_for("g").version
+        assert eng.query("g", "num_components") == 7
+
+    def test_fresh_hits_race_background_publishes(self):
+        # one caller thread (the engine's supported use) against the
+        # rebuild worker; cache_size=1 over two graphs keeps evicting, so
+        # the lock-free hit sees LRU entries vanish under it
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ServiceEngine(rebuild_mode="async", cache_size=1) as eng:
+                for name in "ab":
+                    eng.put_graph(name, gen.path_graph(8))
+                    eng.query(name, "num_components")
+                for i in range(120):
+                    name = "ab"[i % 2]
+                    closing = (i // 2) % 2 == 0  # path(8) <-> cycle(8)
+                    (eng.add_edges if closing else eng.remove_edges)(name, [[0, 7]])
+                    want = 1 if closing else 7
+                    for _ in range(3):
+                        got = eng.query(name, "num_components", freshness="fresh")
+                        assert got == want, (i, name)
+                assert eng.drain(timeout=30)
+                assert eng.stats.rebuild_errors == 0
+        finally:
+            sys.setswitchinterval(old)
+
+
+class TestRemoveGraph:
+    @staticmethod
+    def chorded_cycle():
+        return gen.cycle_graph(8).union_edges(Graph(8, [0], [4]))
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_reput_name_serves_new_graph(self, mode):
+        with ServiceEngine(rebuild_mode=mode) as eng:
+            eng.put_graph("g", self.chorded_cycle())
+            assert eng.query("g", "num_components") == 1
+            eng.remove_graph("g")
+            eng.put_graph("g", gen.path_graph(8))
+            assert eng.query("g", "num_components") == 7
+            assert eng.drain(timeout=10)
+            assert eng.query("g", "num_components") == 7
+            assert eng.query("g", "num_components", freshness="fresh") == 7
+
+    def test_drops_per_name_state(self):
+        clk = FakeClock()
+        with ServiceEngine(rebuild_mode="async", clock=clk, coalesce_ms=1e6) as eng:
+            eng.put_graph("g", gen.cycle_graph(8))
+            eng.query("g", "num_components")
+            eng.add_edges("g", [[0, 4]])  # logged, marked dirty, job queued
+            clk.advance(1.0)
+            assert eng.delta_log_for("g") is not None
+            assert eng.staleness_ms("g") > 0.0
+            assert eng._scheduler.has_pending("g")
+            eng.remove_graph("g")
+            assert "g" not in eng.store
+            assert eng.snapshot_for("g") is None
+            assert eng.delta_log_for("g") is None
+            assert eng.staleness_ms("g") == 0.0
+            assert not eng._scheduler.has_pending("g")
+            with pytest.raises(KeyError, match="no graph named"):
+                eng.query("g", "num_components")
+
+    def test_unknown_name(self):
+        eng = ServiceEngine()
+        with pytest.raises(KeyError, match="no graph named"):
+            eng.remove_graph("nope")
 
 
 class TestSimulatedMachine:
